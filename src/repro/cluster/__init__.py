@@ -46,7 +46,6 @@ from repro.cluster.node import (
     NODE_DRAINING,
     NODE_UP,
     ClusterNode,
-    NodeService,
 )
 from repro.cluster.ring import ConsistentHashRing, stable_hash64
 from repro.cluster.runner import ClusterRunner, node_source
@@ -75,7 +74,6 @@ __all__ = [
     "NODE_DOWN",
     "NODE_DRAINING",
     "NODE_UP",
-    "NodeService",
     "RouteSpec",
     "ScalingDecision",
     "node_source",

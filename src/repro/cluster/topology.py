@@ -2,7 +2,7 @@
 
 :class:`ClusterTopology` is the control plane of the simulated cluster.
 It owns the membership (node objects + the consistent-hash ring), builds
-one :class:`~repro.cluster.node.NodeService` per (node, route) pair, and
+one :class:`~repro.gateway.station.Station` per (node, route) pair, and
 answers the one question the data plane asks per request: *which nodes
 may serve this route, in what failover order?*
 
@@ -26,11 +26,12 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
-from repro.cluster.node import ClusterNode, NodeService
+from repro.cluster.node import ClusterNode
 from repro.cluster.ring import ConsistentHashRing
 from repro.gateway.cluster import PAPER_SERVICES
 from repro.gateway.services import ServiceTimeModel
 from repro.gateway.simulation import Simulator
+from repro.gateway.station import Station
 
 __all__ = ["ClusterTopology", "RouteSpec", "paper_route_specs"]
 
@@ -170,7 +171,7 @@ class ClusterTopology:
                 seed=node_seed + 7_919 * (route_index + 1),
             )
             node.add_service(
-                NodeService(
+                Station(
                     spec.route,
                     node,
                     model,

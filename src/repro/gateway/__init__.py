@@ -15,7 +15,9 @@ indices in struct-of-arrays numpy columns, statistics stream through
 quantile sketches and seeded reservoirs instead of retained samples, and
 open-loop Poisson arrival groups express workloads closed-loop threads
 cannot — millions of requests in seconds of wall-clock and bounded memory
-(DESIGN.md §11).
+(DESIGN.md §11).  Every simulated micro-service is a
+:class:`~repro.gateway.station.Station`, the one columnar station both
+capacity and cluster runs use.
 """
 
 from repro.gateway.simulation import Simulator
@@ -51,6 +53,7 @@ from repro.gateway.sketches import (
 )
 from repro.gateway.arrivals import PoissonArrivalGroup, arrival_chunks
 from repro.gateway.capacity import CapacityRunner, summary_from_log
+from repro.gateway.station import Station
 
 __all__ = [
     "APIGateway",
@@ -76,6 +79,7 @@ __all__ = [
     "ScalingEvent",
     "ServiceTimeModel",
     "Simulator",
+    "Station",
     "StreamingMoments",
     "SummaryReport",
     "ThreadGroup",

@@ -9,16 +9,13 @@ the latencies the paper reports.
 
 from __future__ import annotations
 
-from collections import deque
-from dataclasses import dataclass, field
-from heapq import heappush as _heappush
+from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional
 
 import numpy as np
 
 from repro.gateway.simulation import Simulator
-from repro.serving.admission import SHED_ERROR_MESSAGE
-from repro.serving.policy import ServingPolicy
+from repro.gateway.station import Station
 from repro.tracing import NULL_SPAN, NULL_TRACER, SpanContext
 
 
@@ -141,24 +138,10 @@ class ServiceTimeModel:
 
 CompletionCallback = Callable[[RequestRecord], None]
 
-#: Refill size for the pre-sampled service-time buffers: one vectorized
-#: generator call (plus a ``tolist`` for C-speed scalar reads) per this
-#: many requests of a payload kind.
-SERVICE_TIME_BATCH = 4096
 
-
-class _SampleBuffer:
-    """Cursor over one payload's pre-sampled service-time batch."""
-
-    __slots__ = ("values", "pos")
-
-    def __init__(self) -> None:
-        self.values: List[float] = []
-        self.pos = 0
-
-
-class MicroService:
-    """A metric micro-service: c parallel workers over a bounded FIFO queue.
+class MicroService(Station):
+    """A metric micro-service: the columnar :class:`Station` plus the
+    traced record path.
 
     Parameters
     ----------
@@ -182,6 +165,11 @@ class MicroService:
         spans of the processing span — a stage-level profile of where the
         service time went, materialised retroactively without scheduling
         extra simulator events.
+
+    The record path (:meth:`submit`) and the columnar row path share one
+    FIFO, so trace-sampled requests interleave with row requests in true
+    arrival order; record entries are the one queue-entry kind the
+    station hands back here (:meth:`_start_record`).
     """
 
     def __init__(
@@ -193,20 +181,19 @@ class MicroService:
         queue_capacity: int = 1000,
         stages: Optional[Dict[str, float]] = None,
     ) -> None:
-        if queue_capacity < 0:
-            raise ValueError("queue_capacity must be non-negative")
         if stages is not None:
             if not stages:
                 raise ValueError("stages mapping must not be empty")
             if any(w <= 0 for w in stages.values()):
                 raise ValueError("stage weights must be positive")
-        self.name = name
+        super().__init__(
+            name,
+            None,
+            service_time,
+            machine.vcpus if concurrency is None else concurrency,
+            queue_capacity,
+        )
         self.machine = machine
-        self.service_time = service_time
-        self.concurrency = machine.vcpus if concurrency is None else concurrency
-        if self.concurrency < 1:
-            raise ValueError("concurrency must be >= 1")
-        self.queue_capacity = queue_capacity
         self.stages = dict(stages) if stages else None
         #: Optional completion hook ``probe(tracer, span, record)`` fired
         #: when a request finishes processing, with the processing span as
@@ -215,66 +202,10 @@ class MicroService:
         #: sensor poll, attaching real AI-trust measurements to the
         #: request's trace.
         self.probe: Optional[Callable] = None
-        self._busy = 0
-        # Unified FIFO: record-path entries are 5-tuples, columnar-path
-        # entries are bare row ints; deque gives O(1) popleft either way.
-        self._waiting: deque = deque()
+        #: Record-path outcomes (the row path keeps counters only).
         self.completed: List[RequestRecord] = []
-        #: Requests completed on the columnar row path (the row itself
-        #: lives in the bound :class:`~repro.gateway.records.RecordLog`,
-        #: possibly recycled — only the count is retained here).
-        self.completed_rows: int = 0
+        #: Record-path queue-full rejections (rows: ``rejected_rows``).
         self.rejected: int = 0
-        self._peak_queue = 0
-        self._busy_seconds = 0.0  # cumulative worker-seconds of service
-        # Columnar-mode bindings (set by use_columnar); None = record-only.
-        self._log = None
-        self._sim: Optional[Simulator] = None
-        self._sink = None
-        self._sim_queue: Optional[list] = None
-        self._sim_counter = None
-        self._supported_ids: frozenset = frozenset()
-        self._err_queue_full = 0
-        self._err_unsupported: Dict[int, int] = {}
-        self._st_buffers: Dict[int, _SampleBuffer] = {}
-        self._finish_cb = self._finish_row  # pre-bound: no per-event binding
-        # Serving-mode bindings (set by configure_serving); None keeps
-        # the classic one-row-per-worker dispatch untouched.
-        self.serving: Optional[ServingPolicy] = None
-        self._srv_pending: Dict[int, list] = {}
-        self._srv_epoch: Dict[int, int] = {}
-        self._srv_queued = 0
-        self._srv_max_batch = 0
-        self._srv_window = 0.0
-        self._srv_marginal = 0.0
-        self._srv_shed_depth = 0
-        self._err_shed = 0
-        self.batches_flushed = 0
-        self.rows_batched = 0
-        self.flushed_by_size = 0
-        self.flushed_by_deadline = 0
-        self.shed_rows = 0
-        self.batch_size_peak = 0
-        self._flush_deadline_cb = self._flush_deadline
-        self._finish_batch_cb = self._finish_batch
-        # Kernel-pool bindings (policy.pool_workers > 0): flushed
-        # batches occupy simulated pool workers instead of station
-        # workers, so the station keeps admitting while kernels run —
-        # the discrete-event mirror of repro.pool.
-        self._pool_workers = 0
-        self._pool_busy = 0
-        self._pool_waiting: deque = deque()
-        self._pool_inflight: Dict[int, tuple] = {}
-        self._pool_seq = 0
-        self._pool_busy_seconds = 0.0
-        self._pool_peak_queue = 0
-        self.pool_batches = 0
-        self.pool_rows = 0
-        self.pool_crashes = 0
-        self.pool_restarts = 0
-        self.pool_resubmitted = 0
-        self.pool_peak_inflight = 0
-        self._finish_pool_batch_cb = self._finish_pool_batch
 
     def submit(
         self,
@@ -312,7 +243,9 @@ class MicroService:
                 queue_span.set_attribute(
                     "queue_depth", float(len(self._waiting))
                 )
-            self._waiting.append((record, on_complete, tracer, parent, queue_span))
+            self._waiting.append(
+                (record, sim, on_complete, tracer, parent, queue_span)
+            )
             self._peak_queue = max(self._peak_queue, len(self._waiting))
         else:
             self.rejected += 1
@@ -334,6 +267,9 @@ class MicroService:
             record.trace = span.context
         span.record_error(record.error)
         span.end(at=sim.now)
+
+    def _start_record(self, entry) -> None:
+        self._start(*entry)
 
     def _start(
         self,
@@ -373,16 +309,8 @@ class MicroService:
                 process_span.end(at=sim.now)
             # hand the freed worker to the queue head BEFORE notifying the
             # caller: a callback that synchronously resubmits must queue
-            # behind earlier arrivals, not grab the worker (and the cap
-            # would otherwise be breached when both paths start a request)
-            if self._waiting:
-                entry = self._waiting.popleft()
-                if type(entry) is int:
-                    self._start_row(entry)
-                else:
-                    self._start(
-                        entry[0], sim, entry[1], entry[2], entry[3], entry[4]
-                    )
+            # behind earlier arrivals, not grab the worker
+            self._drain()
             on_complete(record)
 
         sim.schedule(duration, finish)
@@ -409,603 +337,6 @@ class MicroService:
             ).set_attribute("service", self.name).end(at=stage_end)
             cursor = stage_end
 
-    # -- columnar row path ---------------------------------------------------
-    #
-    # The million-request hot path: a request is a row index in a bound
-    # RecordLog, the service time comes from a refillable pre-sampled
-    # buffer, and every scheduled callback is a bound method via
-    # Simulator.schedule_call — no Request/RequestRecord dataclasses, no
-    # closures, no per-request tuples.  The record path above stays the
-    # default (and the traced/oracle path); both share one FIFO, so
-    # trace-sampled requests interleave with row requests in true
-    # arrival order.
-
-    def use_columnar(self, log, sim: Simulator, sink) -> None:
-        """Bind this service to a record log for the row-based hot path.
-
-        ``sink(row, ok)`` is invoked at service-completion time for every
-        row (success, reject or unsupported payload); the caller (the
-        capacity runner) owns response-leg accounting — including the
-        row's ``end`` stamp, which the service leaves untouched on the
-        success path — plus streaming stats and row recycling.  ``ok``
-        mirrors ``log.ok[row]`` — passing it spares the sink a
-        per-request column read.
-        """
-        self._log = log
-        self._sim = sim
-        self._sink = sink
-        # scheduling a service completion is a pure heap push (service
-        # times are strictly positive, so the schedule-into-the-past
-        # guard is dead); grab the simulator's heap and tie-break counter
-        # once — both live for the simulator's lifetime
-        self._sim_queue = sim._queue
-        self._sim_counter = sim._counter
-        self._supported_ids = frozenset(
-            log.intern_payload(p) for p in self.service_time.base_seconds
-        )
-        self._err_queue_full = log.intern_error("queue full (503)")
-        self._err_shed = log.intern_error(SHED_ERROR_MESSAGE)
-        self._err_unsupported = {}
-        self._st_buffers = {}
-        self._st_last_id = -1  # last payload's buffer, cached off the dict
-        self._st_last_buf = None
-
-    def submit_row(self, row: int) -> None:
-        """Accept (or reject) a columnar request at the current time."""
-        log = self._log
-        # the memoryview yields a Python int: set/dict probes on it beat
-        # hashing a numpy scalar, and this runs once per simulated request
-        payload_id = log.v_payload_ids[row]
-        if payload_id not in self._supported_ids:
-            code = self._err_unsupported.get(payload_id)
-            if code is None:
-                payload = log.payload_name(payload_id)
-                code = log.intern_error(f"unsupported payload {payload!r}")
-                self._err_unsupported[payload_id] = code
-            log.fail(row, code, self._sim.now)
-            self.completed_rows += 1
-            self._sink(row, False)
-            return
-        if self._busy < self.concurrency:
-            # inline of _start_row (sans the queue-drain re-read): the
-            # uncongested accept runs once per simulated request, and the
-            # call alone costs as much as the buffer bookkeeping
-            self._busy += 1
-            now = self._sim.now
-            log.v_start[row] = now
-            if payload_id == self._st_last_id:
-                buffer = self._st_last_buf
-            else:
-                buffer = self._st_buffers.get(payload_id)
-                if buffer is None:
-                    buffer = _SampleBuffer()
-                    self._st_buffers[payload_id] = buffer
-                self._st_last_id = payload_id
-                self._st_last_buf = buffer
-            pos = buffer.pos
-            values = buffer.values
-            if pos >= len(values):
-                values = self.service_time.sample_batch(
-                    log.payload_name(payload_id), SERVICE_TIME_BATCH
-                ).tolist()
-                buffer.values = values
-                pos = 0
-            buffer.pos = pos + 1
-            _heappush(
-                self._sim_queue,
-                (
-                    now + values[pos],
-                    next(self._sim_counter),
-                    self._finish_cb,
-                    row,
-                ),
-            )
-        else:
-            waiting = self._waiting
-            depth = len(waiting)
-            if depth < self.queue_capacity:
-                waiting.append(row)
-                if depth >= self._peak_queue:
-                    self._peak_queue = depth + 1
-            else:
-                self.rejected += 1
-                log.fail(row, self._err_queue_full, self._sim.now)
-                self.completed_rows += 1
-                self._sink(row, False)
-
-    def submit_trusted_row(self, row: int) -> None:
-        """:meth:`submit_row` minus the payload check.
-
-        For callers that validated the payload once at bind time (a
-        closed-loop group or arrival process sends one fixed payload, so
-        re-probing ``_supported_ids`` per request is dead work).  The
-        congested branch never reads the payload column at all.
-        """
-        if self._busy < self.concurrency:
-            log = self._log
-            payload_id = log.v_payload_ids[row]
-            self._busy += 1
-            now = self._sim.now
-            log.v_start[row] = now
-            if payload_id == self._st_last_id:
-                buffer = self._st_last_buf
-            else:
-                buffer = self._st_buffers.get(payload_id)
-                if buffer is None:
-                    buffer = _SampleBuffer()
-                    self._st_buffers[payload_id] = buffer
-                self._st_last_id = payload_id
-                self._st_last_buf = buffer
-            pos = buffer.pos
-            values = buffer.values
-            if pos >= len(values):
-                values = self.service_time.sample_batch(
-                    log.payload_name(payload_id), SERVICE_TIME_BATCH
-                ).tolist()
-                buffer.values = values
-                pos = 0
-            buffer.pos = pos + 1
-            _heappush(
-                self._sim_queue,
-                (
-                    now + values[pos],
-                    next(self._sim_counter),
-                    self._finish_cb,
-                    row,
-                ),
-            )
-        else:
-            waiting = self._waiting
-            depth = len(waiting)
-            if depth < self.queue_capacity:
-                waiting.append(row)
-                if depth >= self._peak_queue:
-                    self._peak_queue = depth + 1
-            else:
-                self.rejected += 1
-                log = self._log
-                log.fail(row, self._err_queue_full, self._sim.now)
-                self.completed_rows += 1
-                self._sink(row, False)
-
-    def configure_serving(self, policy: ServingPolicy) -> None:
-        """Enable micro-batched dispatch + admission control (DESIGN §15).
-
-        Rows submitted through :meth:`submit_row_serving` coalesce per
-        payload shape and flush as one fused kernel call occupying one
-        worker for ``draw * (1 + (n-1)*batch_marginal)`` — the measured
-        sublinear scaling of the vectorized kernels.  Once the backlog
-        (pending + queued batch rows) reaches ``shed_depth``, new rows
-        are shed with the typed ``503 shed`` error the SLO attribution
-        layer keys on.  The classic per-row submit paths are untouched,
-        so unbatched and batched runs compare apples to apples.
-        """
-        self.serving = policy
-        self._srv_pending = {}
-        self._srv_epoch = {}
-        self._srv_queued = 0
-        self._srv_max_batch = policy.max_batch
-        self._srv_window = policy.batch_window
-        self._srv_marginal = policy.batch_marginal
-        self._srv_shed_depth = policy.shed_depth
-        self._pool_workers = policy.pool_workers
-
-    def submit_row_serving(self, row: int) -> None:
-        """Accept, batch, or shed a columnar request at the current time."""
-        log = self._log
-        payload_id = log.v_payload_ids[row]
-        if payload_id not in self._supported_ids:
-            code = self._err_unsupported.get(payload_id)
-            if code is None:
-                payload = log.payload_name(payload_id)
-                code = log.intern_error(f"unsupported payload {payload!r}")
-                self._err_unsupported[payload_id] = code
-            log.fail(row, code, self._sim.now)
-            self.completed_rows += 1
-            self._sink(row, False)
-            return
-        if self._srv_shed_depth and self._srv_queued >= self._srv_shed_depth:
-            self.shed_rows += 1
-            log.fail(row, self._err_shed, self._sim.now)
-            self.completed_rows += 1
-            self._sink(row, False)
-            return
-        pending = self._srv_pending.get(payload_id)
-        if pending is None:
-            pending = []
-            self._srv_pending[payload_id] = pending
-            self._srv_epoch[payload_id] = 0
-        pending.append(row)
-        self._srv_queued += 1
-        if len(pending) >= self._srv_max_batch:
-            self.flushed_by_size += 1
-            self._flush_payload(payload_id)
-        elif len(pending) == 1:
-            self._sim.schedule_call(
-                self._srv_window,
-                self._flush_deadline_cb,
-                (self._srv_epoch[payload_id], payload_id),
-            )
-
-    def _flush_deadline(self, token) -> None:
-        """Window-expiry flush; stale epochs are already-flushed groups."""
-        epoch, payload_id = token
-        if epoch != self._srv_epoch.get(payload_id, -1):
-            return
-        if self._srv_pending.get(payload_id):
-            self.flushed_by_deadline += 1
-            self._flush_payload(payload_id)
-
-    def _flush_payload(self, payload_id: int) -> None:
-        batch = self._srv_pending[payload_id]
-        self._srv_pending[payload_id] = []
-        self._srv_epoch[payload_id] += 1
-        if self._pool_workers:
-            self._dispatch_pool_batch(batch)
-            return
-        if self._busy < self.concurrency:
-            self._start_batch(batch)
-            return
-        waiting = self._waiting
-        depth = len(waiting)
-        # capacity is counted in queue *entries*: a parked batch is one
-        # fused unit of work, exactly like one record or one row
-        if depth < self.queue_capacity:
-            waiting.append(batch)
-            if depth >= self._peak_queue:
-                self._peak_queue = depth + 1
-            return
-        log = self._log
-        now = self._sim.now
-        code = self._err_queue_full
-        n = len(batch)
-        self.rejected += n
-        self._srv_queued -= n
-        self.completed_rows += n
-        sink = self._sink
-        for row in batch:
-            log.fail(row, code, now)
-            sink(row, False)
-
-    def _start_batch(self, batch: list) -> None:
-        """Start one fused batch on a freed worker (one draw, n rows)."""
-        self._busy += 1
-        log = self._log
-        now = self._sim.now
-        n = len(batch)
-        self._srv_queued -= n
-        for row in batch:
-            log.v_start[row] = now
-        payload_id = log.v_payload_ids[batch[0]]
-        if payload_id == self._st_last_id:
-            buffer = self._st_last_buf
-        else:
-            buffer = self._st_buffers.get(payload_id)
-            if buffer is None:
-                buffer = _SampleBuffer()
-                self._st_buffers[payload_id] = buffer
-            self._st_last_id = payload_id
-            self._st_last_buf = buffer
-        pos = buffer.pos
-        values = buffer.values
-        if pos >= len(values):
-            values = self.service_time.sample_batch(
-                log.payload_name(payload_id), SERVICE_TIME_BATCH
-            ).tolist()
-            buffer.values = values
-            pos = 0
-        buffer.pos = pos + 1
-        duration = values[pos] * (1.0 + (n - 1) * self._srv_marginal)
-        self.batches_flushed += 1
-        self.rows_batched += n
-        if n > self.batch_size_peak:
-            self.batch_size_peak = n
-        _heappush(
-            self._sim_queue,
-            (
-                now + duration,
-                next(self._sim_counter),
-                self._finish_batch_cb,
-                batch,
-            ),
-        )
-
-    def _finish_batch(self, batch: list) -> None:
-        now = self._sim.now
-        log = self._log
-        # one worker held for the whole fused call
-        self._busy_seconds += now - log.v_start[batch[0]]
-        self.completed_rows += len(batch)
-        self._busy -= 1
-        waiting = self._waiting
-        while self._busy < self.concurrency and waiting:
-            entry = waiting.popleft()
-            if type(entry) is list:
-                self._start_batch(entry)
-            elif type(entry) is int:
-                self._start_row(entry)
-            else:
-                self._start(
-                    entry[0], self._sim, entry[1], entry[2], entry[3], entry[4]
-                )
-        sink = self._sink
-        for row in batch:
-            sink(row, True)
-
-    def serving_event(self, at: float):
-        """Batching/shedding counters as a telemetry event.
-
-        ``value`` is the mean rows per fused kernel call; flush-trigger
-        splits, the batch-size peak and the shed count ride in ``attrs``
-        so serving efficiency lands on the same bus → WAL → rollup
-        stream as utilisation.
-        """
-        from repro.telemetry.events import KIND_SERVING, TelemetryEvent
-
-        batches = self.batches_flushed
-        return TelemetryEvent(
-            source=f"serving:{self.name}",
-            value=self.rows_batched / batches if batches else 0.0,
-            timestamp=at,
-            kind=KIND_SERVING,
-            attrs={
-                "batches": float(batches),
-                "rows": float(self.rows_batched),
-                "by_size": float(self.flushed_by_size),
-                "by_deadline": float(self.flushed_by_deadline),
-                "peak": float(self.batch_size_peak),
-                "shed": float(self.shed_rows),
-            },
-        )
-
-    # -- simulated kernel pool (policy.pool_workers > 0) ---------------------
-    #
-    # The discrete-event mirror of repro.pool: flushed batches occupy
-    # pool workers, not station workers, so the station's event loop
-    # (admission, coalescing, window timers) overlaps with kernel
-    # execution.  A pool-worker crash re-dispatches its oldest in-flight
-    # batch onto the instantly-restarted worker with a fresh service
-    # draw; the orphaned completion callback finds its dispatch id gone
-    # and does nothing, so no row is ever lost or double-counted.
-
-    def _sample_service(self, payload_id: int) -> float:
-        """One service-time draw off the pre-sampled buffers."""
-        if payload_id == self._st_last_id:
-            buffer = self._st_last_buf
-        else:
-            buffer = self._st_buffers.get(payload_id)
-            if buffer is None:
-                buffer = _SampleBuffer()
-                self._st_buffers[payload_id] = buffer
-            self._st_last_id = payload_id
-            self._st_last_buf = buffer
-        pos = buffer.pos
-        values = buffer.values
-        if pos >= len(values):
-            values = self.service_time.sample_batch(
-                self._log.payload_name(payload_id), SERVICE_TIME_BATCH
-            ).tolist()
-            buffer.values = values
-            pos = 0
-        buffer.pos = pos + 1
-        return values[pos]
-
-    def _dispatch_pool_batch(self, batch: list) -> None:
-        """Route one flushed batch to the pool tier (park if saturated).
-
-        Parked batches stay in ``_srv_queued`` so admission control
-        back-pressures on the pool backlog exactly as it does on the
-        coalescing backlog.
-        """
-        if self._pool_busy < self._pool_workers:
-            self._start_pool_batch(batch)
-        else:
-            waiting = self._pool_waiting
-            waiting.append(batch)
-            if len(waiting) > self._pool_peak_queue:
-                self._pool_peak_queue = len(waiting)
-
-    def _start_pool_batch(self, batch: list, resubmit: bool = False) -> None:
-        """Occupy one pool worker with a fused batch (one draw, n rows).
-
-        ``resubmit`` re-dispatches a crash-orphaned batch: the rows were
-        already started and counted, so only a fresh completion is
-        scheduled — telemetry never double-counts a resubmission.
-        """
-        log = self._log
-        now = self._sim.now
-        n = len(batch)
-        if not resubmit:
-            self._pool_busy += 1
-            self._srv_queued -= n
-            for row in batch:
-                log.v_start[row] = now
-            # a pooled batch is still one fused serving batch — the
-            # serving counters stay comparable across pool on/off runs
-            self.batches_flushed += 1
-            self.rows_batched += n
-            self.pool_batches += 1
-            self.pool_rows += n
-            if n > self.batch_size_peak:
-                self.batch_size_peak = n
-        inflight = len(self._pool_inflight) + 1
-        if inflight > self.pool_peak_inflight:
-            self.pool_peak_inflight = inflight
-        duration = self._sample_service(
-            log.v_payload_ids[batch[0]]
-        ) * (1.0 + (n - 1) * self._srv_marginal)
-        self._pool_seq += 1
-        dispatch_id = self._pool_seq
-        self._pool_inflight[dispatch_id] = (batch, now)
-        _heappush(
-            self._sim_queue,
-            (
-                now + duration,
-                next(self._sim_counter),
-                self._finish_pool_batch_cb,
-                dispatch_id,
-            ),
-        )
-
-    def _finish_pool_batch(self, dispatch_id: int) -> None:
-        entry = self._pool_inflight.pop(dispatch_id, None)
-        if entry is None:
-            # the worker crashed mid-batch; the batch already went back
-            # out under a new dispatch id
-            return
-        batch, started = entry
-        now = self._sim.now
-        self._pool_busy_seconds += now - started
-        self.completed_rows += len(batch)
-        self._pool_busy -= 1
-        if self._pool_waiting and self._pool_busy < self._pool_workers:
-            self._start_pool_batch(self._pool_waiting.popleft())
-        sink = self._sink
-        for row in batch:
-            sink(row, True)
-
-    def crash_pool_worker(self) -> int:
-        """Kill one pool worker; returns rows re-dispatched.
-
-        The oldest in-flight batch dies with the worker and is
-        resubmitted onto the instantly-restarted replacement with a
-        fresh service draw.  Batch/row counters do not advance again.
-        """
-        if not self._pool_workers:
-            return 0
-        self.pool_crashes += 1
-        self.pool_restarts += 1
-        if not self._pool_inflight:
-            return 0
-        dispatch_id = min(self._pool_inflight)
-        batch, _started = self._pool_inflight.pop(dispatch_id)
-        self.pool_resubmitted += len(batch)
-        self._start_pool_batch(batch, resubmit=True)
-        return len(batch)
-
-    def pool_event(self, at: float):
-        """Pool queue depth + fan-out counters as a telemetry event.
-
-        ``value`` is the pool backlog (in-flight + parked batches);
-        worker occupancy, fan-out and the crash/resubmit ledger ride in
-        ``attrs`` so the POOL dashboard panel reads one source per
-        station.
-        """
-        from repro.telemetry.events import KIND_POOL, TelemetryEvent
-
-        batches = self.pool_batches
-        return TelemetryEvent(
-            source=f"pool:{self.name}",
-            value=float(len(self._pool_inflight) + len(self._pool_waiting)),
-            timestamp=at,
-            kind=KIND_POOL,
-            attrs={
-                "workers": float(self._pool_workers),
-                "busy": float(self._pool_busy),
-                "queued": float(len(self._pool_waiting)),
-                "batches": float(batches),
-                "rows": float(self.pool_rows),
-                "mean_fan_out": (
-                    self.pool_rows / batches if batches else 0.0
-                ),
-                "peak_inflight": float(self.pool_peak_inflight),
-                "crashes": float(self.pool_crashes),
-                "restarts": float(self.pool_restarts),
-                "resubmitted": float(self.pool_resubmitted),
-                "busy_seconds": self._pool_busy_seconds,
-            },
-        )
-
-    @property
-    def pool_backlog(self) -> int:
-        """In-flight plus parked pool batches (the POOL panel's value)."""
-        return len(self._pool_inflight) + len(self._pool_waiting)
-
-    def _start_row(self, row: int) -> None:
-        """Start a queued row on a freed worker (queue-drain path)."""
-        self._busy += 1
-        sim = self._sim
-        self._log.v_start[row] = sim.now
-        payload_id = self._log.v_payload_ids[row]
-        if payload_id == self._st_last_id:
-            buffer = self._st_last_buf
-        else:
-            buffer = self._st_buffers.get(payload_id)
-            if buffer is None:
-                buffer = _SampleBuffer()
-                self._st_buffers[payload_id] = buffer
-            self._st_last_id = payload_id
-            self._st_last_buf = buffer
-        pos = buffer.pos
-        values = buffer.values
-        if pos >= len(values):
-            values = self.service_time.sample_batch(
-                self._log.payload_name(payload_id), SERVICE_TIME_BATCH
-            ).tolist()
-            buffer.values = values
-            pos = 0
-        buffer.pos = pos + 1
-        sim.schedule_call(values[pos], self._finish_cb, row)
-
-    def _finish_row(self, row: int) -> None:
-        # the sink stamps ``end`` (with the response leg folded in), so
-        # the service does not write the column here
-        now = self._sim.now
-        log = self._log
-        self._busy_seconds += now - log.v_start[row]
-        self.completed_rows += 1
-        # same invariant as the record path: freed worker goes to the
-        # queue head before the completion sink runs.  A saturated run
-        # drains a queued row on nearly every completion, so the
-        # row-entry case is _start_row inlined (stamp, buffer cursor,
-        # completion push) and the worker stays busy — the decrement /
-        # re-increment pair cancels out; record entries and the empty
-        # queue release the worker before handing off.
-        waiting = self._waiting
-        if waiting:
-            entry = waiting.popleft()
-            if type(entry) is int:
-                log.v_start[entry] = now
-                payload_id = log.v_payload_ids[entry]
-                if payload_id == self._st_last_id:
-                    buffer = self._st_last_buf
-                else:
-                    buffer = self._st_buffers.get(payload_id)
-                    if buffer is None:
-                        buffer = _SampleBuffer()
-                        self._st_buffers[payload_id] = buffer
-                    self._st_last_id = payload_id
-                    self._st_last_buf = buffer
-                pos = buffer.pos
-                values = buffer.values
-                if pos >= len(values):
-                    values = self.service_time.sample_batch(
-                        log.payload_name(payload_id), SERVICE_TIME_BATCH
-                    ).tolist()
-                    buffer.values = values
-                    pos = 0
-                buffer.pos = pos + 1
-                _heappush(
-                    self._sim_queue,
-                    (
-                        now + values[pos],
-                        next(self._sim_counter),
-                        self._finish_cb,
-                        entry,
-                    ),
-                )
-            elif type(entry) is list:
-                self._busy -= 1
-                self._start_batch(entry)
-            else:
-                self._busy -= 1
-                self._start(
-                    entry[0], self._sim, entry[1], entry[2], entry[3], entry[4]
-                )
-        else:
-            self._busy -= 1
-        self._sink(row, True)
-
     def set_concurrency(self, target: int, sim: Simulator) -> None:
         """Re-provision the worker pool (autoscaling, §V dynamic capacity).
 
@@ -1016,32 +347,7 @@ class MicroService:
         if target < 1:
             raise ValueError("concurrency must be >= 1")
         self.concurrency = target
-        # drain strictly from the head so FIFO arrival order is preserved
-        while self._busy < self.concurrency and self._waiting:
-            entry = self._waiting.popleft()
-            if type(entry) is int:
-                self._start_row(entry)
-            elif type(entry) is list:
-                self._start_batch(entry)
-            else:
-                self._start(entry[0], sim, entry[1], entry[2], entry[3], entry[4])
-
-    @property
-    def busy_workers(self) -> int:
-        return self._busy
-
-    @property
-    def queue_length(self) -> int:
-        return len(self._waiting)
-
-    @property
-    def peak_queue_length(self) -> int:
-        return self._peak_queue
-
-    @property
-    def busy_seconds(self) -> float:
-        """Cumulative worker-seconds spent serving completed requests."""
-        return self._busy_seconds
+        self._drain()
 
     def utilization(self, elapsed_seconds: float) -> float:
         """Mean worker utilisation over an observation window.
@@ -1074,7 +380,7 @@ class MicroService:
                 "concurrency": float(self.concurrency),
                 "queue_length": float(len(self._waiting)),
                 "peak_queue_length": float(self._peak_queue),
-                "rejected": float(self.rejected),
+                "rejected": float(self.rejected + self.rejected_rows),
                 "completed": float(len(self.completed) + self.completed_rows),
             },
         )

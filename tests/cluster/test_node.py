@@ -1,4 +1,4 @@
-"""NodeService epoch guard + ClusterNode lifecycle state machine."""
+"""Station epoch guard + ClusterNode lifecycle state machine."""
 
 import pytest
 
@@ -7,18 +7,18 @@ from repro.cluster.node import (
     NODE_DRAINING,
     NODE_UP,
     ClusterNode,
-    NodeService,
 )
 from repro.gateway.records import RecordLog
 from repro.gateway.services import ServiceTimeModel
 from repro.gateway.simulation import Simulator
+from repro.gateway.station import Station
 
 
 def _station(concurrency=2, queue_capacity=4, seed=7):
     sim = Simulator()
     log = RecordLog(initial_capacity=64)
     node = ClusterNode("node-0")
-    service = NodeService(
+    service = Station(
         "shap",
         node,
         ServiceTimeModel({"tabular": 0.01}, seed=seed),
@@ -126,12 +126,12 @@ def test_station_validation():
     node = ClusterNode("node-0")
     model = ServiceTimeModel({"tabular": 0.01}, seed=0)
     with pytest.raises(ValueError):
-        NodeService("shap", node, model, concurrency=0)
+        Station("shap", node, model, concurrency=0)
     with pytest.raises(ValueError):
-        NodeService("shap", node, model, concurrency=1, queue_capacity=-1)
-    node.add_service(NodeService("shap", node, model, concurrency=1))
+        Station("shap", node, model, concurrency=1, queue_capacity=-1)
+    node.add_service(Station("shap", node, model, concurrency=1))
     with pytest.raises(ValueError):
-        node.add_service(NodeService("shap", node, model, concurrency=1))
+        node.add_service(Station("shap", node, model, concurrency=1))
 
 
 # -- ClusterNode state machine ------------------------------------------------

@@ -262,17 +262,49 @@ class TestDequeDrainOrder:
         ends = [r.request.request_id for r in service.completed]
         assert sorted(ends) == list(range(6))
 
-    def test_shrink_lowers_cap_without_eviction(self):
+    def _shrink_with_backlog(self, path):
+        """Shrink 4 -> 1 under a 12 x 1 s backlog; returns the makespan
+        and the busy-worker count seen by each completion callback."""
+        from repro.gateway.records import RecordLog
+
         service = make_service(concurrency=4, base=1.0, queue_capacity=100)
         sim = Simulator()
-        for i in range(8):
-            service.submit(Request(request_id=i, route="svc"), sim, lambda r: None)
+        busy_after = []
+
+        def done(*_args):
+            busy_after.append(service.busy_workers)
+
+        if path == "records":
+            for i in range(12):
+                service.submit(Request(request_id=i, route="svc"), sim, done)
+        else:
+            log = RecordLog(initial_capacity=16, retain=True)
+            service.bind(log, sim, done)
+            route_id = log.intern_route("svc")
+            payload_id = log.intern_payload("tabular")
+            for _ in range(12):
+                service.submit_row(log.append(route_id, payload_id, 0.0))
         assert service.busy_workers == 4
         service.set_concurrency(1, sim)
         assert service.busy_workers == 4  # in-flight finish; pool drains down
-        sim.run()
-        assert len(service.completed) == 8
+        makespan = sim.run()
         assert service.busy_workers == 0
+        return makespan, busy_after
+
+    def test_shrink_lowers_cap_without_eviction(self):
+        # in-flight work finishes, then the queue drains one at a time:
+        # makespan 1 + 8 = 9 s, and a freed worker never takes the queue
+        # head over the cap
+        makespan, busy_after = self._shrink_with_backlog("records")
+        assert makespan == pytest.approx(9.0)
+        assert busy_after[:3] == [3, 2, 1]
+        assert max(busy_after[3:]) <= 1
+
+    def test_shrink_lowers_cap_without_eviction_on_rows(self):
+        makespan, busy_after = self._shrink_with_backlog("rows")
+        assert makespan == pytest.approx(9.0)
+        assert busy_after[:3] == [3, 2, 1]
+        assert max(busy_after[3:]) <= 1
 
     def test_mixed_record_and_row_entries_drain_in_arrival_order(self):
         from repro.gateway.records import RecordLog
@@ -281,7 +313,7 @@ class TestDequeDrainOrder:
         sim = Simulator()
         log = RecordLog(initial_capacity=8, retain=True)
         completions = []
-        service.use_columnar(log, sim, lambda row, ok: completions.append(("row", row)))
+        service.bind(log, sim, lambda station, row, ok: completions.append(("row", row)))
         route_id = log.intern_route("svc")
         payload_id = log.intern_payload("tabular")
 
@@ -315,7 +347,7 @@ class TestDequeDrainOrder:
         sim = Simulator()
         log = RecordLog(initial_capacity=8, retain=True)
         done = []
-        service.use_columnar(log, sim, lambda row, ok: done.append(row))
+        service.bind(log, sim, lambda station, row, ok: done.append(row))
         route_id = log.intern_route("svc")
         payload_id = log.intern_payload("tabular")
         rows = [log.append(route_id, payload_id, 0.0) for _ in range(5)]
