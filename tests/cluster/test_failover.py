@@ -153,3 +153,19 @@ def test_queue_overflow_fails_over_to_the_replica():
     # rejections either landed on the replica or finalised typed — the
     # rejection count is fully accounted for, nothing vanished
     assert cons["failovers"] + cons["final_failures"] >= service.rejected_rows
+
+
+def test_unsupported_payload_is_a_typed_failure_not_a_crash():
+    """A payload the route cannot serve fails typed on every replica and
+    the ledger still balances."""
+    topology = ClusterTopology(
+        Simulator(), [RouteSpec("shap")], n_nodes=3, replication=2, seed=1
+    )
+    runner = ClusterRunner(topology, seed=1, retain_records=True)
+    runner.add_thread_group(ThreadGroup("shap", 2, iterations=3, payload="image"))
+    report = runner.run()
+    cons = runner.conservation()
+    assert cons["appended"] == cons["observed"] == 6
+    assert cons["in_flight"] == 0
+    assert report.n_errors == 6
+    assert all(not record.success for record in runner.records())
